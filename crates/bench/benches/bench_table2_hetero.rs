@@ -1,6 +1,7 @@
 //! Criterion bench for experiment T2: the discrete-event simulator on the
 //! Table 2 heterogeneous pool (40 000 task events per run) and on a large
-//! synthetic pool, plus the threaded master/worker executor.
+//! synthetic pool, plus the `ThreadedCluster` backend (the poll-loop
+//! master with loopback worker threads).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumen_cluster::{

@@ -19,24 +19,26 @@
 //! `fast-rayon` legs run the same sequential/rayon engines with the
 //! scenario's precision tier set to `Fast` (the batched SoA kernel), so
 //! the exact-vs-fast ratio per preset is the tier ablation recorded in
-//! `docs/PERFORMANCE.md`. The `tcp` legs run
-//! the real elastic wire runtime loopback: the server binds an ephemeral
-//! port and in-process `run_client` loops connect to it, so the recorded
-//! number includes framing, tally serialization, and the lease
-//! bookkeeping. `tcp` is the historical two-client point; `tcpN` (any
-//! N ≥ 1, e.g. `tcp16`) fans N clients at the single poll loop — the
-//! multi-client point that shows what connection multiplexing buys.
+//! `docs/PERFORMANCE.md`. The `cluster` and `tcp` legs all run
+//! `ThreadedCluster`, the elastic wire runtime over loopback: the server
+//! binds an ephemeral port and in-process `run_client` loops connect to
+//! it, so the recorded number includes framing, tally serialization, and
+//! the lease bookkeeping. `cluster` runs one worker per logical CPU;
+//! `tcp` is the historical two-client point; `tcpN` (any N ≥ 1, e.g.
+//! `tcp16`) fans N clients at the single poll loop — the multi-client
+//! point that shows what connection multiplexing buys.
 //! The JSON is hand-rolled because the workspace's offline `serde` shim
 //! does not serialize.
 
 use lumen_bench::throughput_presets;
-use lumen_core::engine::Scenario;
+use lumen_cluster::ThreadedCluster;
+use lumen_core::engine::{Backend, Scenario};
 use lumen_core::Precision;
 use std::fmt::Write as _;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// In-process client loops the plain `tcp` leg runs (the historical
-/// configuration, kept so the trajectory stays comparable across PRs).
+/// configuration, kept so the trajectory stays comparable across runs).
 const TCP_CLIENTS: usize = 2;
 
 struct Args {
@@ -194,61 +196,6 @@ struct Cell {
     photons_per_second: f64,
 }
 
-/// One timed run of a loopback `tcp` leg: bind an ephemeral port, point
-/// `n_clients` in-process client loops at it, and serve the scenario
-/// over real sockets. Returns the launched photon count. The listener is
-/// bound once and handed to the server directly (no probe/rebind port
-/// race), and the client threads are always joined, even when the server
-/// leg fails.
-fn run_tcp_once(scenario: &Scenario, n_clients: usize) -> Result<u64, String> {
-    use lumen_cluster::ServeOptions;
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?.to_string();
-
-    let sim = scenario.simulation();
-    let seed = scenario.seed;
-    let clients: Vec<_> = (0..n_clients)
-        .map(|_| {
-            let sim = sim.clone();
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                for _ in 0..500 {
-                    match lumen_cluster::run_client(&addr, &sim, seed) {
-                        Ok(n) => return Ok(n),
-                        Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
-                    }
-                }
-                Err("bench client never connected".to_string())
-            })
-        })
-        .collect();
-
-    let served = lumen_cluster::serve_with_options(
-        listener,
-        &sim,
-        scenario.photons,
-        scenario.tasks,
-        ServeOptions::default().with_min_clients(n_clients),
-        &lumen_core::engine::NoProgress,
-    );
-    // Join the clients first (a failed server closes their sockets, so
-    // they terminate either way) to avoid leaking spinning threads.
-    let mut client_err = None;
-    for c in clients {
-        match c.join() {
-            Ok(Ok(_)) => {}
-            Ok(Err(e)) => client_err = Some(e),
-            Err(_) => client_err = Some("bench client panicked".to_string()),
-        }
-    }
-    let report = served.map_err(|e| e.to_string())?;
-    if let Some(e) = client_err {
-        return Err(e);
-    }
-    Ok(report.result.launched())
-}
-
 /// Parse a loopback-leg spec: `tcp` is the historical
 /// [`TCP_CLIENTS`]-client point, `tcpN` (e.g. `tcp16`) fans N clients at
 /// the poll loop. Anything else (including `tcp 3`-style arguments) is
@@ -283,10 +230,9 @@ fn measure(name: &str, spec: &str, scenario: &Scenario, repeats: usize) -> Resul
     let mut scenario = scenario.clone();
     scenario.options.precision = precision;
     let scenario = &scenario;
-    let tcp_clients = tcp_clients_from_spec(engine_spec)?;
-    let backend = match tcp_clients {
-        Some(_) => None,
-        None => Some(lumen_cluster::backend::from_spec(engine_spec).map_err(|e| e.to_string())?),
+    let backend: Box<dyn Backend> = match tcp_clients_from_spec(engine_spec)? {
+        Some(n) => Box::new(ThreadedCluster::new(n)),
+        None => lumen_cluster::backend::from_spec(engine_spec).map_err(|e| e.to_string())?,
     };
     let mut walls = Vec::with_capacity(repeats);
     for _ in 0..repeats {
@@ -294,11 +240,7 @@ fn measure(name: &str, spec: &str, scenario: &Scenario, repeats: usize) -> Resul
         // that is the latency a caller actually observes. The report's own
         // wall clock agrees to within microseconds.
         let started = Instant::now();
-        let launched = match (&backend, tcp_clients) {
-            (Some(b), _) => b.run(scenario).map_err(|e| e.to_string())?.launched(),
-            (None, Some(n)) => run_tcp_once(scenario, n)?,
-            (None, None) => unreachable!("spec is either a backend or a tcp leg"),
-        };
+        let launched = backend.run(scenario).map_err(|e| e.to_string())?.launched();
         let wall = started.elapsed().as_secs_f64();
         assert_eq!(launched, scenario.photons, "backend dropped photons");
         walls.push(wall);

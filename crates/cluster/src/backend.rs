@@ -5,9 +5,10 @@
 //! Three execution substrates join [`Sequential`](lumen_core::Sequential)
 //! and [`Rayon`](lumen_core::Rayon) here:
 //!
-//! * [`ThreadedCluster`] — the real master/worker protocol on OS threads
-//!   (demand-driven scheduling, leases, failure re-queueing), with optional
-//!   fault injection via [`FailurePlan`];
+//! * [`ThreadedCluster`] — the poll-loop master on a loopback port with
+//!   its workers as client threads in the same process (demand-driven
+//!   scheduling, leases, failure re-queueing), with optional fault
+//!   injection via [`FailurePlan`];
 //! * [`Tcp`] — the paper's actual deployment: the DataManager on a TCP
 //!   listener, serving however many `net::run_client` processes connect;
 //! * [`SimulatedCluster`] — the discrete-event simulator. It models
@@ -22,13 +23,12 @@
 //! `lumen_core::engine::from_spec` for the core names, and [`BackendExt`]
 //! hangs convenience runners off [`Scenario`] itself.
 
-use crate::executor::{run_master_worker, DistributedConfig, DistributedReport};
 use crate::machine::{homogeneous_pool, MachinePool};
-use crate::net::{serve_with_options, NetError, ServeOptions};
-use crate::protocol::WorkerStats;
+use crate::net::{client_loop, serve_with_options, NetError, ServeOptions};
 use crate::{AvailabilityModel, ClusterSim, DesReport, JobSpec, NetworkModel};
 use lumen_core::engine::{Backend, EngineError, Progress, RunReport, Scenario, WorkerAccount};
-use lumen_core::SimulationResult;
+use lumen_core::{Simulation, SimulationResult};
+use mcrng::{McRng, SplitMix64};
 use serde::{Deserialize, Serialize};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -40,8 +40,9 @@ pub enum FailurePlan {
     /// No injected failures.
     #[default]
     Reliable,
-    /// Each assigned task is lost with this probability; lost tasks are
-    /// re-queued and retried elsewhere with identical physics.
+    /// Each assigned task is lost with this probability: the worker drops
+    /// its connection while holding the lease and reconnects, and the
+    /// server re-queues the task, which is retried with identical physics.
     Random {
         /// Per-task failure probability in `[0, 1)`.
         rate: f64,
@@ -58,19 +59,52 @@ impl FailurePlan {
     }
 }
 
-fn account(stats: &[WorkerStats]) -> Vec<WorkerAccount> {
-    stats
+/// Serve `sim` for `scenario` on `listener` and map the outcome onto the
+/// engine's report — the one path from a bound listener to a
+/// [`RunReport`] that every networked backend shares. Each connection the
+/// server admitted is one [`WorkerAccount`].
+fn serve_scenario(
+    backend: &'static str,
+    listener: TcpListener,
+    sim: &Simulation,
+    scenario: &Scenario,
+    options: ServeOptions,
+    progress: &dyn Progress,
+    started: Instant,
+) -> Result<RunReport, EngineError> {
+    let options = options.with_task_offset(scenario.task_offset);
+    let report =
+        serve_with_options(listener, sim, scenario.photons, scenario.tasks, options, progress)
+            .map_err(|e| match e {
+                // Parameter problems stay `InvalidConfig`; everything else (I/O,
+                // protocol violations, an abandoned incomplete run) is a backend
+                // failure.
+                NetError::InvalidConfig(reason) => EngineError::InvalidConfig(reason),
+                other => EngineError::backend(backend, other.to_string()),
+            })?;
+    let workers = report
+        .worker_stats
         .iter()
         .map(|s| WorkerAccount {
             tasks_completed: s.tasks_completed,
             tasks_failed: s.tasks_failed,
             photons: s.photons,
         })
-        .collect()
+        .collect();
+    Ok(RunReport {
+        result: report.result,
+        workers,
+        requeues: report.requeues,
+        wall_seconds: started.elapsed().as_secs_f64(),
+        virtual_seconds: None,
+        backend: backend.to_string(),
+    })
 }
 
-/// The real master/worker engine as a backend: OS threads play the client
-/// PCs, channels play the LAN, the DataManager runs the full protocol.
+/// The master/worker runtime in one process: the poll-loop server on a
+/// loopback port, and `workers` client threads connected to it. A
+/// reclaimed worker (see [`FailurePlan`]) drops its connection and
+/// reconnects, so [`RunReport::workers`] has one account per connection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThreadedCluster {
     /// Number of worker threads ("client PCs"); must be >= 1.
@@ -103,23 +137,40 @@ impl Backend for ThreadedCluster {
         progress: &dyn Progress,
     ) -> Result<RunReport, EngineError> {
         scenario.validate()?;
-        let config = DistributedConfig {
-            seed: scenario.seed,
-            tasks: scenario.tasks,
-            workers: self.workers,
-            failure_rate: self.failure_plan.rate(),
-            task_offset: scenario.task_offset,
-        };
+        if self.workers == 0 {
+            return Err(EngineError::InvalidConfig("cluster needs at least one worker".into()));
+        }
+        let rate = self.failure_plan.rate();
+        if !(0.0..1.0).contains(&rate) {
+            return Err(EngineError::InvalidConfig(format!(
+                "failure rate must be in [0, 1), got {rate}"
+            )));
+        }
+        let started = Instant::now();
+        let bind_error = |e: std::io::Error| EngineError::backend(self.name(), e.to_string());
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(bind_error)?;
+        let addr = listener.local_addr().map_err(bind_error)?.to_string();
         let sim = scenario.simulation();
-        let DistributedReport { result, worker_stats, requeues, wall_seconds } =
-            run_master_worker(&sim, scenario.photons, config, progress)?;
-        Ok(RunReport {
-            result,
-            workers: account(&worker_stats),
-            requeues,
-            wall_seconds,
-            virtual_seconds: None,
-            backend: self.name().to_string(),
+        std::thread::scope(|scope| {
+            for worker in 0..self.workers {
+                // Fault injection draws from a per-worker deterministic
+                // stream unrelated to the physics streams.
+                let mut faults = SplitMix64::new(
+                    scenario.seed ^ 0xFA17_FA17_FA17_FA17 ^ (worker as u64).wrapping_mul(0x9E37),
+                );
+                let (addr, sim) = (&addr, &sim);
+                // The server's verdict is the run's: a worker only errors
+                // once the server is gone (its reconnect refused after the
+                // last task), and a server that lost workers it needed
+                // reports that itself.
+                scope.spawn(move || {
+                    client_loop(addr, sim, scenario.seed, &mut || {
+                        rate > 0.0 && faults.next_f64() < rate
+                    })
+                });
+            }
+            let options = ServeOptions::default().with_min_clients(self.workers);
+            serve_scenario(self.name(), listener, &sim, scenario, options, progress, started)
         })
     }
 }
@@ -185,16 +236,6 @@ impl Tcp {
     }
 }
 
-/// Map a networked failure onto the engine's error vocabulary: parameter
-/// problems stay `InvalidConfig`, everything else (I/O, protocol
-/// violations, an abandoned incomplete run) is a backend failure.
-fn net_error(e: NetError) -> EngineError {
-    match e {
-        NetError::InvalidConfig(reason) => EngineError::InvalidConfig(reason),
-        other => EngineError::backend("tcp", other.to_string()),
-    }
-}
-
 impl Backend for Tcp {
     fn name(&self) -> &'static str {
         "tcp"
@@ -210,23 +251,8 @@ impl Backend for Tcp {
         let listener = TcpListener::bind(&self.addr)
             .map_err(|e| EngineError::backend(self.name(), format!("bind {}: {e}", self.addr)))?;
         let sim = scenario.simulation();
-        let report = serve_with_options(
-            listener,
-            &sim,
-            scenario.photons,
-            scenario.tasks,
-            self.serve_options().with_task_offset(scenario.task_offset),
-            progress,
-        )
-        .map_err(net_error)?;
-        Ok(RunReport {
-            result: report.result,
-            workers: account(&report.worker_stats),
-            requeues: report.requeues,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            virtual_seconds: None,
-            backend: self.name().to_string(),
-        })
+        let options = self.serve_options();
+        serve_scenario(self.name(), listener, &sim, scenario, options, progress, started)
     }
 }
 
@@ -487,6 +513,46 @@ mod tests {
         assert_eq!(clean.result.tally, faulty.result.tally);
         assert!(faulty.requeues > 0);
         assert!(faulty.workers.iter().any(|w| w.tasks_failed > 0));
+        // A reclaimed worker reconnects as a new account, so every lost
+        // lease is one failure on one account, and the completions still
+        // cover each task and photon exactly once.
+        let sum = |f: fn(&WorkerAccount) -> u64| faulty.workers.iter().map(f).sum::<u64>();
+        assert_eq!(faulty.requeues, sum(|w| w.tasks_failed));
+        assert_eq!(sum(|w| w.tasks_completed), s.tasks);
+        assert_eq!(sum(|w| w.photons), s.photons);
+    }
+
+    #[test]
+    fn offset_runs_continue_an_earlier_run_bit_identically() {
+        // Streams 0..4 run in one job, then streams 4..8 arrive as
+        // single-task continuation runs folded on in order (a left fold
+        // is prefix-extendable; merging two multi-task partial folds
+        // would differ in the last ulp). Worker count must not matter.
+        let s = scenario().with_photons(8_000).with_tasks(8);
+        let whole = ThreadedCluster::new(3).run(&s).unwrap().result.tally;
+        let head = s.clone().with_photons(4_000).with_tasks(4);
+        let mut merged = ThreadedCluster::new(2).run(&head).unwrap().result.tally;
+        for j in 4..8 {
+            let step = s.clone().with_photons(1_000).with_tasks(1).with_task_offset(j);
+            merged.merge(&ThreadedCluster::new(2).run(&step).unwrap().result.tally);
+        }
+        assert_eq!(merged, whole);
+    }
+
+    #[test]
+    fn fast_tier_tallies_pass_the_servers_completion_check() {
+        let mut s = scenario();
+        s.options.precision = lumen_core::Precision::Fast;
+        let clu = ThreadedCluster::new(2).run(&s).unwrap();
+        assert_eq!(clu.requeues, 0);
+        assert_eq!(clu.result.tally, Sequential.run(&s).unwrap().result.tally);
+    }
+
+    #[test]
+    fn zero_photon_run_is_complete_without_work() {
+        let report = ThreadedCluster::new(2).run(&scenario().with_photons(0)).unwrap();
+        assert_eq!(report.launched(), 0);
+        assert_eq!(report.requeues, 0);
     }
 
     #[test]

@@ -2,21 +2,44 @@
 //!
 //! "The DataManager, which resides on the server, assigns simulations to
 //! client PCs and processes the returned results." This struct is exactly
-//! that, factored so the same logic drives both the real threaded executor
-//! and tests: it owns the queue of outstanding tasks, hands them out on
-//! request (demand-driven self-scheduling), re-queues failed tasks, and
-//! merges returned tallies.
+//! that, kept free of I/O so the poll-loop server in [`crate::net`] (the
+//! one master every real run goes through, `Tcp` and `ThreadedCluster`
+//! alike) drives it and unit tests can too: it owns the queue of
+//! outstanding tasks, hands them out on request (demand-driven
+//! self-scheduling), re-queues failed tasks, and merges returned tallies.
 
-use crate::protocol::{SimTask, WorkerStats};
 use lumen_core::tally::Tally;
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// One unit of assignable work: a photon batch with its RNG stream index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SimTask {
+    /// Unique, dense task identifier (also the RNG stream index, which is
+    /// what makes re-execution after a failure give identical photons).
+    pub task_id: u64,
+    /// Photons in this batch.
+    pub photons: u64,
+}
+
+/// Per-worker execution statistics the server keeps.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct WorkerStats {
+    /// Tasks completed by this worker.
+    pub tasks_completed: u64,
+    /// Photons simulated by this worker.
+    pub photons: u64,
+    /// Tasks this worker failed (for failure-injection experiments).
+    pub tasks_failed: u64,
+}
 
 /// Server state for one distributed simulation.
 #[derive(Debug)]
 pub struct DataManager {
+    /// Tasks not yet handed out. Leases live with the caller (the
+    /// server's connection table), which reports each one back through
+    /// [`DataManager::complete`] or [`DataManager::fail`].
     queue: VecDeque<SimTask>,
-    /// Tasks handed out but not yet completed (leases).
-    outstanding: Vec<SimTask>,
     /// Per-task tallies, indexed by task id. Kept separate until the end so
     /// the final merge runs in task order — float accumulation order (and
     /// hence the result, bit for bit) is then independent of which worker
@@ -29,32 +52,22 @@ pub struct DataManager {
     tasks_total: usize,
     tasks_done: usize,
     requeues: u64,
-    /// First task id handed out (see [`DataManager::with_offset`]);
-    /// `completed` slot `j` holds task `task_offset + j`.
+    /// First task id handed out; `completed` slot `j` holds task
+    /// `task_offset + j`.
     task_offset: u64,
 }
 
 impl DataManager {
-    /// Create a manager for `total_photons` split into `n_tasks` batches,
-    /// aggregating into a tally shaped like `template`.
-    pub fn new(total_photons: u64, n_tasks: u64, template: Tally, n_workers: usize) -> Self {
-        Self::with_offset(total_photons, n_tasks, 0, template, n_workers)
-    }
-
-    /// Like [`DataManager::new`], but task ids start at `task_offset`
-    /// instead of zero. Workers stream RNG by task id, so an offset run
+    /// Create a manager for `total_photons` split into `n_tasks` batches
+    /// whose ids start at `task_offset`, aggregating into a tally shaped
+    /// like `template`. Workers stream RNG by task id, so an offset run
     /// draws from streams `task_offset..task_offset + n_tasks` — the
     /// continuation contract behind the service cache's incremental
     /// top-up (`Scenario::task_offset` carries the same value through
-    /// the in-process backends).
-    pub fn with_offset(
-        total_photons: u64,
-        n_tasks: u64,
-        task_offset: u64,
-        template: Tally,
-        n_workers: usize,
-    ) -> Self {
-        let sizes = lumen_core::parallel::batch_sizes(total_photons, n_tasks);
+    /// the in-process backends). Workers join through
+    /// [`DataManager::register_worker`].
+    pub fn new(total_photons: u64, n_tasks: u64, task_offset: u64, template: Tally) -> Self {
+        let sizes = lumen_core::engine::batch_sizes(total_photons, n_tasks);
         let queue: VecDeque<SimTask> = sizes
             .iter()
             .enumerate()
@@ -64,9 +77,8 @@ impl DataManager {
             tasks_total: queue.len(),
             completed: (0..queue.len()).map(|_| None).collect(),
             queue,
-            outstanding: Vec::new(),
             template,
-            stats: vec![WorkerStats::default(); n_workers],
+            stats: Vec::new(),
             tasks_done: 0,
             requeues: 0,
             task_offset,
@@ -76,14 +88,11 @@ impl DataManager {
     /// Hand the next task to a requesting worker, or `None` when the queue
     /// is empty (the worker should be shut down once all leases resolve).
     pub fn assign(&mut self) -> Option<SimTask> {
-        let task = self.queue.pop_front()?;
-        self.outstanding.push(task);
-        Some(task)
+        self.queue.pop_front()
     }
 
-    /// Register a worker that joined after construction (the elastic TCP
-    /// server admits clients for the run's whole lifetime), returning its
-    /// dense id.
+    /// Register a worker (the elastic server admits clients for the run's
+    /// whole lifetime), returning its dense id.
     pub fn register_worker(&mut self) -> usize {
         self.stats.push(WorkerStats::default());
         self.stats.len() - 1
@@ -93,8 +102,7 @@ impl DataManager {
     /// merging) if the task was already completed — a duplicate must
     /// never double-count photons, and the server's event loop must never
     /// panic over a misbehaving peer.
-    pub fn complete(&mut self, worker: usize, task: SimTask, tally: &Tally) -> bool {
-        self.release_lease(task);
+    pub fn complete(&mut self, worker: usize, task: SimTask, tally: Tally) -> bool {
         let Some(slot) = task
             .task_id
             .checked_sub(self.task_offset)
@@ -105,7 +113,7 @@ impl DataManager {
         if slot.is_some() {
             return false;
         }
-        *slot = Some(tally.clone());
+        *slot = Some(tally);
         self.tasks_done += 1;
         if let Some(s) = self.stats.get_mut(worker) {
             s.tasks_completed += 1;
@@ -116,7 +124,6 @@ impl DataManager {
 
     /// Re-queue a failed task (front of queue: it is the oldest work).
     pub fn fail(&mut self, worker: usize, task: SimTask) {
-        self.release_lease(task);
         self.queue.push_front(task);
         self.requeues += 1;
         if let Some(s) = self.stats.get_mut(worker) {
@@ -124,10 +131,10 @@ impl DataManager {
         }
     }
 
-    fn release_lease(&mut self, task: SimTask) {
-        if let Some(i) = self.outstanding.iter().position(|t| t.task_id == task.task_id) {
-            self.outstanding.swap_remove(i);
-        }
+    /// The empty tally every result merges into — the shape a returned
+    /// tally must have.
+    pub fn template(&self) -> &Tally {
+        &self.template
     }
 
     /// All tasks completed?
@@ -170,6 +177,15 @@ mod tests {
         Tally::new(1, None, None)
     }
 
+    /// A manager from task id 0 with `workers` registered workers.
+    fn manager(total: u64, tasks: u64, workers: usize) -> DataManager {
+        let mut dm = DataManager::new(total, tasks, 0, template());
+        for _ in 0..workers {
+            dm.register_worker();
+        }
+        dm
+    }
+
     fn worker_tally(launched: u64) -> Tally {
         let mut t = template();
         t.launched = launched;
@@ -178,7 +194,7 @@ mod tests {
 
     #[test]
     fn assigns_all_tasks_once() {
-        let mut dm = DataManager::new(100, 10, template(), 2);
+        let mut dm = manager(100, 10, 2);
         let mut seen = Vec::new();
         while let Some(t) = dm.assign() {
             seen.push(t.task_id);
@@ -190,13 +206,13 @@ mod tests {
 
     #[test]
     fn completion_merges_and_finishes() {
-        let mut dm = DataManager::new(100, 4, template(), 1);
+        let mut dm = manager(100, 4, 1);
         let mut assigned = Vec::new();
         while let Some(t) = dm.assign() {
             assigned.push(t);
         }
         for t in &assigned {
-            dm.complete(0, *t, &worker_tally(t.photons));
+            dm.complete(0, *t, worker_tally(t.photons));
         }
         assert!(dm.finished());
         let (tally, stats, requeues) = dm.into_results();
@@ -208,7 +224,7 @@ mod tests {
 
     #[test]
     fn failed_tasks_are_requeued_and_retried() {
-        let mut dm = DataManager::new(30, 3, template(), 2);
+        let mut dm = manager(30, 3, 2);
         let t0 = dm.assign().unwrap();
         dm.fail(1, t0);
         assert_eq!(dm.requeues(), 1);
@@ -216,9 +232,9 @@ mod tests {
         let retry = dm.assign().unwrap();
         assert_eq!(retry.task_id, t0.task_id);
         // Completing everything still reaches the exact photon total.
-        dm.complete(0, retry, &worker_tally(retry.photons));
+        dm.complete(0, retry, worker_tally(retry.photons));
         while let Some(t) = dm.assign() {
-            dm.complete(0, t, &worker_tally(t.photons));
+            dm.complete(0, t, worker_tally(t.photons));
         }
         assert!(dm.finished());
         let (tally, stats, _) = dm.into_results();
@@ -229,27 +245,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "before all tasks completed")]
     fn into_results_requires_completion() {
-        let dm = DataManager::new(10, 2, template(), 1);
+        let dm = manager(10, 2, 1);
         let _ = dm.into_results();
     }
 
     #[test]
     fn zero_photon_job_finishes_immediately() {
-        let dm = DataManager::new(0, 4, template(), 1);
+        let dm = manager(0, 4, 1);
         assert!(dm.finished());
         assert_eq!(dm.tasks_total(), 0);
     }
 
     #[test]
     fn duplicate_completion_is_ignored_not_merged() {
-        let mut dm = DataManager::new(20, 2, template(), 2);
+        let mut dm = manager(20, 2, 2);
         let t = dm.assign().unwrap();
-        assert!(dm.complete(0, t, &worker_tally(t.photons)));
+        assert!(dm.complete(0, t, worker_tally(t.photons)));
         // A stale duplicate (e.g. a revoked lease finishing late) merges
         // nothing and corrupts no accounting.
-        assert!(!dm.complete(1, t, &worker_tally(t.photons)));
+        assert!(!dm.complete(1, t, worker_tally(t.photons)));
         let u = dm.assign().unwrap();
-        assert!(dm.complete(0, u, &worker_tally(u.photons)));
+        assert!(dm.complete(0, u, worker_tally(u.photons)));
         let (tally, stats, _) = dm.into_results();
         assert_eq!(tally.launched, 20);
         assert_eq!(stats[0].tasks_completed, 2);
@@ -258,7 +274,7 @@ mod tests {
 
     #[test]
     fn offset_manager_hands_out_and_completes_offset_ids() {
-        let mut dm = DataManager::with_offset(40, 4, 100, template(), 1);
+        let mut dm = DataManager::new(40, 4, 100, template());
         let mut ids = Vec::new();
         let mut taken = Vec::new();
         while let Some(t) = dm.assign() {
@@ -267,10 +283,10 @@ mod tests {
         }
         assert_eq!(ids, vec![100, 101, 102, 103]);
         // An id outside the run (hostile or stale peer) is dropped, not a panic.
-        assert!(!dm.complete(0, SimTask { task_id: 99, photons: 10 }, &worker_tally(10)));
-        assert!(!dm.complete(0, SimTask { task_id: 104, photons: 10 }, &worker_tally(10)));
+        assert!(!dm.complete(0, SimTask { task_id: 99, photons: 10 }, worker_tally(10)));
+        assert!(!dm.complete(0, SimTask { task_id: 104, photons: 10 }, worker_tally(10)));
         for t in taken {
-            assert!(dm.complete(0, t, &worker_tally(t.photons)));
+            assert!(dm.complete(0, t, worker_tally(t.photons)));
         }
         let (tally, _, _) = dm.into_results();
         assert_eq!(tally.launched, 40);
@@ -278,12 +294,12 @@ mod tests {
 
     #[test]
     fn registered_workers_extend_the_stats_table() {
-        let mut dm = DataManager::new(10, 1, template(), 0);
+        let mut dm = DataManager::new(10, 1, 0, template());
         let a = dm.register_worker();
         let b = dm.register_worker();
         assert_eq!((a, b), (0, 1));
         let t = dm.assign().unwrap();
-        dm.complete(b, t, &worker_tally(t.photons));
+        dm.complete(b, t, worker_tally(t.photons));
         let (_, stats, _) = dm.into_results();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[1].tasks_completed, 1);

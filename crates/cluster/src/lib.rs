@@ -6,14 +6,16 @@
 //! merges the returned results; clients are non-dedicated machines whose
 //! available compute varies stochastically.
 //!
-//! We reproduce that platform twice, at two levels of fidelity:
+//! We reproduce that platform once for real and once as a model:
 //!
-//! 1. **A real master/worker engine** ([`executor`]) — OS threads play the
-//!    clients, crossbeam channels play the LAN, and the full protocol
-//!    ([`protocol`]) runs for real: demand-driven task requests, task
-//!    leases, failure re-queueing, result merging on the server. This
-//!    executes the actual photon transport and is how the library does
-//!    multi-core work in production.
+//! 1. **The master/worker runtime** ([`net`]) — the [`DataManager`] runs
+//!    in a single poll-loop server that hands out task leases on demand,
+//!    requeues the work of clients that vanish (a reclaimed PC), and
+//!    merges the returned tallies; [`run_client`] is the client loop.
+//!    Every real run goes through it: [`Tcp`] serves clients started
+//!    elsewhere, and [`ThreadedCluster`] runs its workers as loopback
+//!    clients in the same process, so multi-core and multi-machine runs
+//!    share one lease/requeue state machine.
 //! 2. **A discrete-event simulator** ([`des`]) — models machines by their
 //!    Mflop/s rating (Table 2), non-dedicated background load
 //!    ([`availability`]), and network transfer costs ([`network`]), so the
@@ -24,8 +26,8 @@
 //! Schedulers are pluggable ([`scheduler`]): demand-driven self-scheduling
 //! (what the original platform does), static pre-partitioning, and a
 //! genetic-algorithm scheduler in the spirit of the paper's reference \[4\].
-//! For multi-machine deployments, [`wire`] provides the binary message
-//! format (the role Java serialization played in the original), including
+//! [`wire`] provides the binary message format (the role Java
+//! serialization played in the original), including
 //! a full encoding of experiment definitions
 //! ([`wire::encode_scenario`]).
 //!
@@ -33,7 +35,7 @@
 //! implements `lumen_core::engine::Backend` for [`ThreadedCluster`],
 //! [`Tcp`], and [`SimulatedCluster`], so the same
 //! `lumen_core::engine::Scenario` runs unchanged on a single core, the
-//! rayon pool, the threaded master/worker engine, a TCP deployment, or
+//! rayon pool, loopback master/worker threads, a TCP deployment, or
 //! the simulated machine pool — with bit-identical tallies wherever real
 //! photons are traced.
 
@@ -41,11 +43,9 @@ pub mod availability;
 pub mod backend;
 pub mod datamanager;
 pub mod des;
-pub mod executor;
 pub mod machine;
 pub mod net;
 pub mod network;
-pub mod protocol;
 pub mod scheduler;
 pub mod speedup;
 pub mod wire;
@@ -54,9 +54,6 @@ pub use availability::AvailabilityModel;
 pub use backend::{BackendExt, FailurePlan, SimulatedCluster, Tcp, ThreadedCluster};
 pub use datamanager::DataManager;
 pub use des::{ClusterSim, DesReport, JobSpec};
-#[allow(deprecated)]
-pub use executor::run_distributed;
-pub use executor::{run_master_worker, DistributedConfig, DistributedReport};
 pub use machine::{homogeneous_pool, table2_pool, MachineClass, MachinePool};
 pub use net::{
     run_client, serve, serve_with_options, serve_with_progress, NetError, NetReport, ServeOptions,

@@ -3,9 +3,12 @@
 //! This is the configuration the paper actually ran: "All the clients
 //! connected to a dedicated server." [`serve`] runs the DataManager on a
 //! TCP listener; [`run_client`] is the client loop a worker machine runs.
-//! Both ends are constructed with the same [`Simulation`] (the original
-//! shipped the `Algorithm` bytecode; we ship the experiment definition
-//! out-of-band, which is the idiomatic Rust equivalent).
+//! It is the workspace's one master: the `Tcp` backend serves clients on
+//! other machines with it, and `ThreadedCluster` serves its own worker
+//! threads with it over loopback. Both ends are constructed with the same
+//! [`Simulation`] (the original shipped the `Algorithm` bytecode; we ship
+//! the experiment definition out-of-band, which is the idiomatic Rust
+//! equivalent).
 //!
 //! The paper's whole point is Monte Carlo on *non-dedicated* clusters
 //! where workers come and go, so the server is elastic: clients are
@@ -29,14 +32,13 @@
 //! kind byte and a [`crate::wire`]-encoded payload. A connection opens
 //! with a [`KIND_HELLO`] exchange carrying the wire-format version
 //! ([`wire::VERSION`]); mismatched peers are rejected with
-//! [`NetError::VersionMismatch`]. Unknown kinds and malformed payloads
+//! [`NetError::VersionMismatch`]. Unknown kinds, malformed payloads, and
+//! tallies that are not the leased task's (wrong photon count or shape)
 //! terminate that client's connection; the DataManager re-queues whatever
 //! task the lost client held, exactly as the paper's platform survives
 //! reclaimed PCs.
 
-use crate::datamanager::DataManager;
-use crate::protocol::SimTask;
-use crate::protocol::WorkerStats;
+use crate::datamanager::{DataManager, SimTask, WorkerStats};
 use crate::wire::{self, WireError};
 use lumen_core::engine::{NoProgress, Progress};
 use lumen_core::{Simulation, SimulationResult};
@@ -51,6 +53,8 @@ use std::time::{Duration, Instant};
 pub const KIND_REQUEST: u8 = 0x01;
 /// Client → server: a completed task's tally (the task is the client's
 /// current lease — the server is authoritative about which one that is).
+/// It is merged only if it launched the lease's photons and has the run's
+/// shape (`Tally::shape_mismatch`).
 pub const KIND_COMPLETE: u8 = 0x02;
 /// Either direction: protocol handshake. Payload is one byte, the
 /// sender's [`wire::VERSION`]. A client opens with this; the server
@@ -545,8 +549,15 @@ impl Handler for ClusterServer<'_> {
             },
             Client::Leased { worker, task, .. } => match kind {
                 KIND_COMPLETE => match wire::decode_tally(&payload) {
-                    Ok(tally) => {
-                        self.dm.complete(worker, task, &tally);
+                    // Only a tally of exactly this task's photons, shaped
+                    // like the run's own, may reach the merge: anything
+                    // else (a peer tracing other tissue or options) would
+                    // corrupt or abort it.
+                    Ok(tally)
+                        if tally.launched == task.photons
+                            && self.dm.template().shape_mismatch(&tally).is_none() =>
+                    {
+                        self.dm.complete(worker, task, tally);
                         self.photons_done += task.photons;
                         self.progress.on_photons(self.photons_done, self.photons_total);
                         self.clients.insert(
@@ -557,8 +568,9 @@ impl Handler for ClusterServer<'_> {
                             self.begin_drain(ops, now);
                         }
                     }
-                    // Malformed tally: surrender the lease, cut the peer.
-                    Err(_) => self.depart(ops, token, now),
+                    // Malformed or foreign tally: surrender the lease, cut
+                    // the peer.
+                    _ => self.depart(ops, token, now),
                 },
                 KIND_PING => {
                     ops.send(token, KIND_PING, &payload);
@@ -682,7 +694,10 @@ pub fn serve_with_options(
             "task_offset + tasks overflows the stream index space".into(),
         ));
     }
-    let dm = DataManager::with_offset(n, tasks, options.task_offset, sim.new_tally(), 0);
+    let dm = DataManager::new(n, tasks, options.task_offset, sim.new_tally());
+    // A run without photons has nothing to lease: it is complete before
+    // anyone joins, so it starts out draining.
+    let finished = dm.finished();
 
     let mut events = EventLoop::new(listener)?;
     let started = Instant::now();
@@ -698,7 +713,7 @@ pub fn serve_with_options(
         empty_since: Some(started),
         progress,
         failed: None,
-        draining: None,
+        draining: finished.then_some(started + DRAIN_WINDOW),
     };
     events.run(&mut server)?;
     // Dropping the loop closes the listener and cuts every socket still
@@ -723,31 +738,49 @@ pub fn serve_with_options(
 /// return tallies, exit on shutdown. Returns the number of tasks
 /// completed.
 pub fn run_client(addr: &str, sim: &Simulation, seed: u64) -> Result<u64, NetError> {
-    let mut stream = TcpStream::connect(addr)?;
-    // A failed socket-option set is a broken connection, not a shrug:
-    // surface it instead of running the whole protocol on a socket whose
-    // configuration silently differs from what the code assumes.
-    stream.set_nodelay(true)?;
-    handshake(&mut stream)?;
+    client_loop(addr, sim, seed, &mut || false)
+}
+
+/// [`run_client`] on a machine its owner may reclaim: after each
+/// assignment, `reclaimed()` decides whether the task is lost. A reclaimed
+/// client drops its connection while holding the lease — the server
+/// requeues the task under the same id — and reconnects as a new client.
+pub(crate) fn client_loop(
+    addr: &str,
+    sim: &Simulation,
+    seed: u64,
+    reclaimed: &mut dyn FnMut() -> bool,
+) -> Result<u64, NetError> {
     let factory = StreamFactory::new(seed);
     let mut completed = 0u64;
-    loop {
-        write_frame(&mut stream, KIND_REQUEST, &[])?;
-        let (kind, payload) = read_frame(&mut stream)?;
-        match kind {
-            KIND_SHUTDOWN => return Ok(completed),
-            KIND_ASSIGN => {
-                let task = wire::decode_task(&payload)?;
-                let mut tally = sim.new_tally();
-                let mut rng = factory.stream(task.task_id);
-                sim.run_stream(task.photons, &mut rng, &mut tally, None);
-                if let Some(a) = tally.archive.as_mut() {
-                    a.stamp_task(task.task_id);
+    'connection: loop {
+        let mut stream = TcpStream::connect(addr)?;
+        // A failed socket-option set is a broken connection, not a shrug:
+        // surface it instead of running the whole protocol on a socket
+        // whose configuration silently differs from what the code assumes.
+        stream.set_nodelay(true)?;
+        handshake(&mut stream)?;
+        loop {
+            write_frame(&mut stream, KIND_REQUEST, &[])?;
+            let (kind, payload) = read_frame(&mut stream)?;
+            match kind {
+                KIND_SHUTDOWN => return Ok(completed),
+                KIND_ASSIGN => {
+                    let task = wire::decode_task(&payload)?;
+                    if reclaimed() {
+                        continue 'connection;
+                    }
+                    let mut tally = sim.new_tally();
+                    let mut rng = factory.stream(task.task_id);
+                    sim.run_stream(task.photons, &mut rng, &mut tally, None);
+                    if let Some(a) = tally.archive.as_mut() {
+                        a.stamp_task(task.task_id);
+                    }
+                    write_frame(&mut stream, KIND_COMPLETE, &wire::encode_tally(&tally))?;
+                    completed += 1;
                 }
-                write_frame(&mut stream, KIND_COMPLETE, &wire::encode_tally(&tally))?;
-                completed += 1;
+                other => return Err(NetError::BadKind(other)),
             }
-            other => return Err(NetError::BadKind(other)),
         }
     }
 }
@@ -824,6 +857,39 @@ mod tests {
         let rayon_res = rayon_reference(&s, n, seed, 4);
         assert_eq!(report.result.tally, rayon_res.tally);
         assert!(report.result.tally.path_grid.is_some());
+    }
+
+    #[test]
+    fn foreign_tallies_are_cut_and_requeued_not_merged() {
+        // A client tracing a 1-layer phantom against a 5-layer run: its
+        // tallies decode cleanly but have the wrong shape. Merging one
+        // would abort the server; instead the peer is cut, its lease
+        // requeued, and the honest client finishes the run.
+        use lumen_core::engine::Sequential;
+        use lumen_tissue::presets::{adult_head, AdultHeadConfig};
+        let head = Simulation::new(
+            adult_head(AdultHeadConfig::default()),
+            Source::Delta,
+            Detector::new(10.0, 1.0),
+        );
+        let (n, tasks, seed) = (2_000, 8, 3);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let foreign = {
+            let addr = addr.clone();
+            thread::spawn(move || run_client(&addr, &sim(), seed))
+        };
+        let honest = {
+            let (addr, head) = (addr.clone(), head.clone());
+            thread::spawn(move || run_client(&addr, &head, seed))
+        };
+
+        let report = serve(listener, &head, n, tasks, 2).expect("the honest client completes");
+        assert!(foreign.join().expect("join").is_err(), "the foreign client must be cut");
+        assert_eq!(honest.join().expect("join").expect("honest client"), tasks);
+        assert!(report.requeues >= 1);
+        let reference = Scenario::from_simulation(&head, n, seed).with_tasks(tasks);
+        assert_eq!(report.result.tally, Sequential.run(&reference).unwrap().result.tally);
     }
 
     #[test]

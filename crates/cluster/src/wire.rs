@@ -1,8 +1,8 @@
 //! Binary wire format for the DataManager ⇄ client protocol.
 //!
 //! The original platform shipped Java-serialized objects over TCP sockets.
-//! The in-process executor uses channels and needs no serialization, but a
-//! multi-machine deployment does — so the protocol's encoding substrate is
+//! Every master/worker run here goes over a socket too (loopback for
+//! `ThreadedCluster`), so the protocol's encoding substrate is
 //! implemented here from scratch: a compact little-endian format with a
 //! magic header and version byte, covering tasks, worker stats, and full
 //! tallies (including optional grids). No external serialization crate is
@@ -12,7 +12,7 @@
 //! `Option<T>` is a presence byte then the payload; floats are IEEE-754
 //! bit patterns.
 
-use crate::protocol::{SimTask, WorkerStats};
+use crate::datamanager::{SimTask, WorkerStats};
 use lumen_core::archive::{PathArchive, RecordOptions, CLASS_TRANSMITTED};
 use lumen_core::engine::Scenario;
 use lumen_core::radial::{CylinderGrid, RadialProfile, RadialSpec};

@@ -90,7 +90,7 @@ impl ManualClient {
     }
 
     /// Request and receive one assignment, leaving the lease open.
-    fn take_task(&mut self) -> lumen_cluster::protocol::SimTask {
+    fn take_task(&mut self) -> lumen_cluster::datamanager::SimTask {
         write_frame(&mut self.stream, KIND_REQUEST, &[]).expect("request");
         let (kind, payload) = read_frame(&mut self.stream).expect("assignment");
         assert_eq!(kind, KIND_ASSIGN, "expected an assignment");

@@ -37,7 +37,6 @@
 //! instead of panicking on ad-hoc strings.
 
 use crate::detector::Detector;
-use crate::parallel::batch_sizes;
 use crate::results::SimulationResult;
 use crate::sim::{PathRecord, Simulation, SimulationOptions};
 use crate::source::Source;
@@ -142,7 +141,7 @@ pub struct Scenario {
 impl Scenario {
     /// Default photon budget (override with [`Scenario::with_photons`]).
     pub const DEFAULT_PHOTONS: u64 = 100_000;
-    /// Default task count, matching the old `ParallelConfig::new`.
+    /// Default task count.
     pub const DEFAULT_TASKS: u64 = 64;
     /// Default seed, matching the CLI default.
     pub const DEFAULT_SEED: u64 = 42;
@@ -242,6 +241,15 @@ impl Scenario {
     }
 }
 
+/// Split `total` photons into `tasks` near-equal batch sizes (empty
+/// batches dropped) — the decomposition every backend executes.
+pub fn batch_sizes(total: u64, tasks: u64) -> Vec<u64> {
+    let tasks = tasks.max(1);
+    let base = total / tasks;
+    let extra = total % tasks;
+    (0..tasks).map(|i| base + u64::from(i < extra)).filter(|&n| n > 0).collect()
+}
+
 /// Observer for long-running executions.
 ///
 /// Backends call these hooks from worker/aggregator threads, so
@@ -285,9 +293,7 @@ pub struct WorkerAccount {
     pub photons: u64,
 }
 
-/// The unified outcome of running a [`Scenario`] on any [`Backend`] —
-/// one report type where the seed API had `SimulationResult`,
-/// `DistributedReport`, and `NetReport`.
+/// The unified outcome of running a [`Scenario`] on any [`Backend`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// The merged physics: tally plus recorded sample paths.
@@ -576,6 +582,18 @@ mod tests {
         .with_photons(4_000)
         .with_tasks(8)
         .with_seed(5)
+    }
+
+    #[test]
+    fn batch_sizes_sum_to_total() {
+        for (total, tasks) in [(100u64, 7u64), (5, 10), (0, 3), (64, 64), (1_000_003, 17)] {
+            let sizes = batch_sizes(total, tasks);
+            assert_eq!(sizes.iter().sum::<u64>(), total, "{total}/{tasks}");
+            // Near-equal: max-min <= 1 among non-filtered batches.
+            if let (Some(&mx), Some(&mn)) = (sizes.iter().max(), sizes.iter().min()) {
+                assert!(mx - mn <= 1);
+            }
+        }
     }
 
     #[test]

@@ -37,16 +37,14 @@
 //! master/worker cluster, TCP deployment, and discrete-event simulator in
 //! `lumen-cluster`. Every backend returns the same [`engine::RunReport`]
 //! with bit-identical tallies for the same scenario, which is the paper's
-//! reproducibility claim expressed as a type. The old free functions
-//! ([`Simulation::run`], the deprecated [`parallel::run_parallel`]) remain
-//! as thin shims.
+//! reproducibility claim expressed as a type. [`Simulation::run`] remains
+//! as a single-task convenience.
 
 pub mod archive;
 pub mod detector;
 pub mod engine;
 pub mod error;
 pub(crate) mod kernel;
-pub mod parallel;
 pub mod radial;
 pub mod results;
 pub mod sim;
@@ -65,9 +63,6 @@ pub use lumen_tissue::{
     Geometry, GeometryError, LayeredTissue, OpticalProperties as TissueOptics, TissueGeometry,
     VoxelMaterial, VoxelTissue,
 };
-#[allow(deprecated)]
-pub use parallel::run_parallel;
-pub use parallel::ParallelConfig;
 pub use radial::{CylinderGrid, RadialProfile, RadialSpec};
 pub use results::SimulationResult;
 pub use sim::{Precision, Simulation, SimulationOptions};

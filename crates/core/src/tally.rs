@@ -423,14 +423,63 @@ impl Tally {
         self.absorbed_by_layer.iter().sum()
     }
 
+    /// The first way `other` is shaped differently from `self`, or `None`
+    /// when the two can be merged: the per-layer vectors have the same
+    /// lengths, and every grid, histogram, profile, and archive is present
+    /// in both with the same spec, or absent in both. Shape is everything
+    /// [`Tally::merge`] requires, so a tally from an untrusted peer can be
+    /// checked before it is merged.
+    pub fn shape_mismatch(&self, other: &Tally) -> Option<&'static str> {
+        fn same<T>(a: &Option<T>, b: &Option<T>, eq: impl Fn(&T, &T) -> bool) -> bool {
+            match (a, b) {
+                (Some(a), Some(b)) => eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        let layers = self.absorbed_by_layer.len();
+        let vectors = [self, other].map(|t| {
+            [
+                t.absorbed_by_layer.len(),
+                t.detected_reached_layer.len(),
+                t.detected_partial_path.len(),
+            ]
+        });
+        if vectors.iter().flatten().any(|&len| len != layers) {
+            Some("layer count")
+        } else if !same(&self.path_grid, &other.path_grid, |a, b| a.spec == b.spec) {
+            Some("path grid")
+        } else if !same(&self.absorption_grid, &other.absorption_grid, |a, b| a.spec == b.spec) {
+            Some("absorption grid")
+        } else if !same(&self.path_histogram, &other.path_histogram, |a, b| {
+            a.max_mm == b.max_mm && a.counts.len() == b.counts.len()
+        }) {
+            Some("path histogram")
+        } else if !same(&self.reflectance_r, &other.reflectance_r, |a, b| a.spec == b.spec) {
+            Some("reflectance profile")
+        } else if !same(&self.absorption_rz, &other.absorption_rz, |a, b| {
+            a.radial == b.radial && a.nz == b.nz && a.z_max == b.z_max
+        }) {
+            Some("cylindrical grid")
+        } else if !same(&self.archive, &other.archive, |a, b| {
+            a.regions == b.regions && a.detected_only == b.detected_only && a.base == b.base
+        }) {
+            Some("path archive")
+        } else {
+            None
+        }
+    }
+
     /// Merge a worker tally into this aggregate — the DataManager's
     /// "processes the returned results" step.
+    ///
+    /// # Panics
+    ///
+    /// If the two tallies differ in shape ([`Tally::shape_mismatch`]).
     pub fn merge(&mut self, other: &Tally) {
-        assert_eq!(
-            self.absorbed_by_layer.len(),
-            other.absorbed_by_layer.len(),
-            "layer count mismatch in tally merge"
-        );
+        if let Some(what) = self.shape_mismatch(other) {
+            panic!("{what} mismatch in tally merge");
+        }
         self.launched += other.launched;
         self.detected += other.detected;
         self.reflected += other.reflected;
@@ -459,35 +508,23 @@ impl Tally {
             *a += b;
         }
         self.detected_scatter_sum += other.detected_scatter_sum;
-        match (&mut self.path_grid, &other.path_grid) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("path grid presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.path_grid, &other.path_grid) {
+            a.merge(b);
         }
-        match (&mut self.absorption_grid, &other.absorption_grid) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("absorption grid presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.absorption_grid, &other.absorption_grid) {
+            a.merge(b);
         }
-        match (&mut self.path_histogram, &other.path_histogram) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("path histogram presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.path_histogram, &other.path_histogram) {
+            a.merge(b);
         }
-        match (&mut self.reflectance_r, &other.reflectance_r) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("reflectance profile presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.reflectance_r, &other.reflectance_r) {
+            a.merge(b);
         }
-        match (&mut self.absorption_rz, &other.absorption_rz) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("cylindrical grid presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.absorption_rz, &other.absorption_rz) {
+            a.merge(b);
         }
-        match (&mut self.archive, &other.archive) {
-            (Some(a), Some(b)) => a.merge(b),
-            (None, None) => {}
-            _ => panic!("path archive presence mismatch in tally merge"),
+        if let (Some(a), Some(b)) = (&mut self.archive, &other.archive) {
+            a.merge(b);
         }
     }
 
@@ -617,6 +654,25 @@ mod tests {
         let mut a = Tally::new(2, None, None);
         let b = Tally::new(3, None, None);
         a.merge(&b);
+    }
+
+    #[test]
+    fn shape_mismatch_names_the_first_difference() {
+        let base = Tally::new(2, Some(spec()), None);
+        assert_eq!(base.shape_mismatch(&base.clone()), None);
+        assert_eq!(base.shape_mismatch(&Tally::new(3, Some(spec()), None)), Some("layer count"));
+        let mut short = base.clone();
+        short.detected_partial_path.pop();
+        assert_eq!(base.shape_mismatch(&short), Some("layer count"));
+        assert_eq!(base.shape_mismatch(&Tally::new(2, None, None)), Some("path grid"));
+        let other_grid = GridSpec::cubic(5, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0));
+        assert_eq!(base.shape_mismatch(&Tally::new(2, Some(other_grid), None)), Some("path grid"));
+        let binned = base.clone().with_path_histogram(10.0, 4);
+        assert_eq!(
+            binned.shape_mismatch(&base.clone().with_path_histogram(10.0, 5)),
+            Some("path histogram")
+        );
+        assert_eq!(binned.shape_mismatch(&base), Some("path histogram"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! Provides the `channel` module subset the cluster executor uses —
+//! Provides the `channel` module subset the workspace once used —
 //! [`channel::unbounded`], cloneable [`channel::Sender`]s and
 //! [`channel::Receiver`]s — implemented on `std::sync::mpsc`. Semantics
 //! match crossbeam for the single-consumer usage in this workspace:

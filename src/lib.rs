@@ -7,12 +7,13 @@
 //!   layered tissue — [`mcrng`] (deterministic splittable RNG streams),
 //!   [`photon`] (hop/drop/spin/boundary/roulette physics), [`tissue`]
 //!   (layered geometry and head-model presets), [`core`] (the simulation
-//!   loop, tallies, and the shared-memory parallel driver), and
+//!   loop, tallies, and the sequential and rayon backends), and
 //!   [`analysis`] (figures, profiles, statistics); and
 //! * a **non-dedicated master/worker platform** — [`cluster`] — that runs
-//!   the same physics through a real threaded executor, over TCP, or under
-//!   a discrete-event simulator that regenerates the paper's speedup
-//!   curves for machine pools you don't own.
+//!   the same physics through one poll-loop master serving worker threads
+//!   in-process or client machines over TCP, or under a discrete-event
+//!   simulator that regenerates the paper's speedup curves for machine
+//!   pools you don't own.
 //!
 //! ## Quickstart
 //!
@@ -43,9 +44,10 @@
 //! assert!(report.diffuse_reflectance() > 0.0);
 //! ```
 //!
-//! The same scenario distributed over the threaded master/worker engine
-//! (failure injection and all) is `lumen::cluster::ThreadedCluster`; the
-//! TCP deployment is `lumen::cluster::Tcp`, and the discrete-event
+//! The same scenario distributed over in-process worker threads connected
+//! to the master over loopback (failure injection and all) is
+//! `lumen::cluster::ThreadedCluster`; the multi-machine TCP deployment of
+//! that master is `lumen::cluster::Tcp`, and the discrete-event
 //! cluster simulator is `lumen::cluster::SimulatedCluster`. `examples/`
 //! in the repository walks through every paper scenario, starting with
 //! `cargo run --release --example quickstart`.

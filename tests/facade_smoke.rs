@@ -1,6 +1,6 @@
 //! Smoke test of the `lumen` facade: every re-export resolves, and a tiny
 //! end-to-end simulation runs deterministically through each execution
-//! backend (sequential, rayon-parallel, threaded master/worker).
+//! backend (sequential, rayon-parallel, loopback master/worker).
 
 use lumen::core::{Backend, Detector, Rayon, Scenario, Sequential, Source};
 use lumen::tissue::presets::semi_infinite_phantom;
@@ -18,7 +18,6 @@ fn facade_reexports_resolve() {
     let _cluster = lumen::cluster::ThreadedCluster::new(2);
     let _plan = lumen::cluster::FailurePlan::Reliable;
     let _err: Option<lumen::core::EngineError> = None;
-    let _dcfg = lumen::cluster::executor::DistributedConfig::new(7, 2);
 }
 
 fn tiny_scenario() -> Scenario {
@@ -48,35 +47,4 @@ fn execution_backends_agree_bit_for_bit() {
     let par = Rayon::default().run(&s).expect("valid scenario");
     let dist = lumen::cluster::ThreadedCluster::new(3).run(&s).expect("valid scenario");
     assert_eq!(par.result.tally, dist.result.tally);
-}
-
-/// The seed-era surface still compiles and agrees with the engine; the
-/// shims stay until a major version removes them.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_work() {
-    use lumen::core::{run_parallel, ParallelConfig, Simulation};
-    let sim = Simulation::new(
-        semi_infinite_phantom(0.1, 10.0, 0.0, 1.0),
-        Source::Delta,
-        Detector::new(2.0, 0.5),
-    );
-    let n = 4_000;
-    let old = run_parallel(&sim, n, ParallelConfig { seed: 11, tasks: 8 });
-    let old_dist = lumen::cluster::executor::run_distributed(
-        &sim,
-        n,
-        lumen::cluster::executor::DistributedConfig {
-            seed: 11,
-            tasks: 8,
-            workers: 3,
-            failure_rate: 0.0,
-            task_offset: 0,
-        },
-    );
-    assert_eq!(old.tally, old_dist.result.tally);
-
-    let scenario = Scenario::from_simulation(&sim, n, 11).with_tasks(8);
-    let new = Rayon::default().run(&scenario).expect("valid scenario");
-    assert_eq!(old.tally, new.result.tally, "shim and engine must agree");
 }
